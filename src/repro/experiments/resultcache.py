@@ -11,9 +11,9 @@ by a SHA-256 digest of everything that determines its outcome:
 * ``CACHE_SCHEMA_VERSION``, a salt bumped whenever simulator or policy
   semantics change in a result-affecting way.
 
-The exact key recipe — including the short list of config fields
-``canonical_dict`` deliberately drops (``sim_kernel``, the MSHR
-counts) and why each is result-neutral — is documented once, in
+The exact key recipe — including the config fields ``canonical_dict``
+deliberately drops (the MSHR counts) and why they are result-neutral —
+is documented once, in
 ``docs/performance.md`` ("The persistent result cache").  repro-lint
 tier 4 (CKEY001/CKEY002) proves the recipe sound against the code:
 every field the simulator transitively reads must be keyed, and
@@ -45,14 +45,18 @@ from typing import Any, Iterable, Optional, Tuple
 # 2: per-core warmup targets are clamped to each trace's length, so
 #    mixes containing a trace shorter than the warmup window now reset
 #    stats where v1 silently measured everything.
-# 3: SystemConfig grew the result-neutral ``sim_kernel`` backend
-#    selector (excluded from canonical_dict, so cached values are still
+# 3: SystemConfig grew a result-neutral simulation-backend selector
+#    (excluded from canonical_dict, so cached values are still
 #    correct); bumped to re-key the INV003 structural pin.
 # 4: trace identity now keys the resolved WorkloadSpec (name + spec
 #    digest in trace names, spec dicts in alone/cell keys) so custom
 #    specs sharing a pool workload's name can never collide; old
 #    name-only entries are invalidated wholesale.
-CACHE_SCHEMA_VERSION = 4
+# 5: the v3 backend selector was removed from SystemConfig along with
+#    the vectorized backend it chose between; no result changes — the
+#    bump only re-pins the INV003 config structure after the field's
+#    removal.
+CACHE_SCHEMA_VERSION = 5
 
 #: Default cache location, relative to the repository root.
 DEFAULT_CACHE_DIRNAME = os.path.join("results", "cache")

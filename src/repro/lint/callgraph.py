@@ -18,7 +18,9 @@ layers, from cheapest to deepest:
 * **bound references** — ``f = obj.meth`` / ``f = helper`` record the
   callables a local can hold, so the hoisted-local idiom in
   ``Simulator.run`` (``demand_access = self.hierarchy.demand_access``)
-  keeps its edge;
+  keeps its edge.  A hoisted local passed on as a call argument may be
+  called by the callee, so the function that hoisted it edges into the
+  bound callables too;
 * **registry dispatch** — calls through ``entry.policy_class(...)`` /
   ``entry.predictor_factory(...)`` fan out to every callable named in
   a module-level ``*REGISTRY`` literal (the INV002 surface), which is
@@ -642,6 +644,10 @@ class _Builder:
                 if not isinstance(node, ast.Call):
                     continue
                 targets |= self._call_targets(module, node, env)
+                for arg in list(node.args) + [kw.value
+                                              for kw in node.keywords]:
+                    if isinstance(arg, ast.Name):
+                        targets |= env.callables.get(arg.id, set())
             targets.discard(fid)
 
     def _call_targets(self, module: str, call: ast.Call,

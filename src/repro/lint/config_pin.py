@@ -27,12 +27,16 @@ PINNED_STRUCT_HASHES: Dict[int, str] = {
     # prefetcher, hash_scheme, track_set_stats, model_tlb, llc_inclusive,
     # seed} + CacheConfig/CoreConfig/NOCConfig/DRAMConfig/DrishtiConfig.
     2: "c3c56b21e103223b488eab74c40a29ce22a3247206b607345c1e737d50119948",
-    # v3: as v2 plus SystemConfig.sim_kernel — the result-neutral
-    # backend selector ("auto"/"vector"/"reference"), excluded from
-    # canonical_dict so both backends share cache keys.
+    # v3: as v2 plus a result-neutral simulation-backend selector field
+    # ("auto"/"vector"/"reference"), excluded from canonical_dict so both
+    # backends shared cache keys.
     3: "1635a67f4bde897293b05233204c262fd70ba662ae14079e10e74a908d6e6bff",
     # v4: same config structure as v3 — the bump re-keys for trace
     # identity (resolved WorkloadSpec digests in trace names, spec
     # dicts in alone/cell keys), not for a config-field change.
     4: "1635a67f4bde897293b05233204c262fd70ba662ae14079e10e74a908d6e6bff",
+    # v5: the v3 backend selector removed with the vectorized backend —
+    # the structure is v2's again; the bump re-pins it, no result
+    # semantics changed.
+    5: "c3c56b21e103223b488eab74c40a29ce22a3247206b607345c1e737d50119948",
 }

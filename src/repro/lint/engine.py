@@ -57,7 +57,6 @@ HOT_ROOTS: Tuple[str, ...] = ("repro.sim.simulator",)
 #: or manifest rows (DET003's scope).
 ORDER_SENSITIVE_MODULES: Tuple[str, ...] = (
     "repro.sim.config",
-    "repro.sim.kernel",
     "repro.experiments.engine",
     "repro.experiments.common",
     "repro.experiments.resultcache",

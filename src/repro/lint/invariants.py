@@ -16,7 +16,7 @@ These enforce the repo's cross-file contracts:
   semantics;
 * every concrete ``*Pattern`` generator must be ``@register_pattern``-
   decorated, so ``create_pattern``, declarative workload specs and the
-  reference↔vector differential matrix can enumerate it.
+  registry-wide simulation test can enumerate it.
 """
 
 from __future__ import annotations
@@ -220,17 +220,17 @@ class PatternRegistryRule(Rule):
 
     The pattern registry is the single enumeration point for workload
     generators: ``create_pattern`` resolves declarative
-    ``WorkloadSpec`` kinds through it, and the differential test matrix
-    (``tests/test_patterns.py``) iterates ``pattern_names()`` to prove
-    every kind bit-identical across the reference and vector kernels.
-    A ``*Pattern`` class that names a ``kind`` but skips
-    ``@register_pattern`` is invisible to all three — specs naming it
-    fail, and no differential coverage ever runs.  Abstract bases stay
-    exempt by leaving ``kind`` unset or empty.
+    ``WorkloadSpec`` kinds through it, and the registry-wide simulation
+    test (``tests/test_patterns.py``) iterates ``pattern_names()`` to
+    prove every kind simulates at one and two cores and repeats
+    bit-identically.  A ``*Pattern`` class that names a ``kind`` but
+    skips ``@register_pattern`` is invisible to all three — specs
+    naming it fail, and no simulation coverage ever runs.  Abstract
+    bases stay exempt by leaving ``kind`` unset or empty.
     """
 
     code = "INV004"
-    title = "access pattern missing from registry / differential matrix"
+    title = "access pattern missing from registry / registry-wide test"
 
     def check_module(self, module: ModuleInfo,
                      project: ProjectContext) -> Iterator[Violation]:
@@ -248,11 +248,11 @@ class PatternRegistryRule(Rule):
                     f"but is not decorated with @register_pattern; "
                     f"unregistered patterns are invisible to "
                     f"create_pattern, declarative workload specs and "
-                    f"the reference/vector differential matrix")
+                    f"the registry-wide simulation test")
 
     def check_project(self,
                       project: ProjectContext) -> Iterator[Violation]:
-        # Differential-matrix coverage: the pattern test suite must
+        # Registry-wide test coverage: the pattern test suite must
         # keep enumerating the registry (pattern_names /
         # PATTERN_REGISTRY) rather than a hand-written kind list that
         # newly registered patterns would silently miss.
@@ -273,8 +273,7 @@ class PatternRegistryRule(Rule):
                                  "enumerates the pattern registry "
                                  "(pattern_names/PATTERN_REGISTRY); "
                                  "new patterns would escape the "
-                                 "reference/vector differential "
-                                 "matrix"),
+                                 "registry-wide simulation test"),
                         path=str(diff), line=1)
 
 

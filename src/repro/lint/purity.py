@@ -42,25 +42,6 @@ _MUTATING_METHODS = frozenset({
     "reverse", "write",
 })
 
-#: Environment variables that select between *bit-identical* backends.
-#: Reading one in a pool worker cannot make serial and pooled runs
-#: diverge: every value produces the same simulation result by
-#: construction (the vector kernel is golden-pinned to the reference
-#: path — see :mod:`repro.sim.kernel`).  Only literal-keyed reads are
-#: exempted; a computed key stays flagged.
-RESULT_NEUTRAL_ENV_VARS = frozenset({"REPRO_SIM_KERNEL"})
-
-
-def _is_result_neutral_env_read(node: ast.Call) -> bool:
-    """True for ``os.environ.get("X")`` / ``os.getenv("X")`` where X is
-    a literal member of :data:`RESULT_NEUTRAL_ENV_VARS`."""
-    if not node.args:
-        return False
-    key = node.args[0]
-    return (isinstance(key, ast.Constant) and isinstance(key.value, str)
-            and key.value in RESULT_NEUTRAL_ENV_VARS)
-
-
 def _module_scope(module: ModuleInfo) -> Tuple[Set[str], Dict[str, ast.AST]]:
     """(module-level assigned names, module-level function defs)."""
     assigned: Set[str] = set()
@@ -260,12 +241,10 @@ class _PurityWalker:
             dotted = self._dotted(func, aliases, from_names)
             if dotted is not None:
                 if dotted in ("os.environ.get", "os.getenv"):
-                    if not _is_result_neutral_env_read(node):
-                        self.findings.append(
-                            (module, node,
-                             f"'{fn_name}' reads os.environ: workers may "
-                             f"see a different environment than the "
-                             f"parent"))
+                    self.findings.append(
+                        (module, node,
+                         f"'{fn_name}' reads os.environ: workers may "
+                         f"see a different environment than the parent"))
                 elif dotted.startswith("repro.obs.events.") or \
                         dotted == "repro.obs.events":
                     self.findings.append(

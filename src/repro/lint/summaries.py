@@ -56,20 +56,18 @@ from repro.lint.ckey_pin import (PINNED_EXCLUDED_FIELDS,
                                  PINNED_UNREAD_FIELDS)
 from repro.lint.dataflow import strongly_connected
 from repro.lint.engine import ModuleInfo, ProjectContext
-from repro.lint.purity import (RESULT_NEUTRAL_ENV_VARS, dotted_ref,
-                               local_names, pool_walk_visited,
-                               store_base, submitted_functions,
-                               _module_scope, _MUTATING_METHODS)
+from repro.lint.purity import (dotted_ref, local_names,
+                               pool_walk_visited, store_base,
+                               submitted_functions, _module_scope,
+                               _MUTATING_METHODS)
 from repro.lint.rules import Rule, Violation, register_rule
 
 __all__ = ["EffectSite", "FunctionSummary", "SummaryIndex",
            "KeyReport", "collect_ckey_pins", "collect_key_reports",
            "render_ckey_pin", "summary_index"]
 
-#: Classes whose methods root the "simulator-reachable" set.  The
-#: scalar reference path and the vectorized kernel are both roots so a
-#: field read by only one backend still counts as behaviour-affecting.
-SIM_ROOT_CLASSES = frozenset({"Simulator", "VectorKernel"})
+#: Classes whose methods root the "simulator-reachable" set.
+SIM_ROOT_CLASSES = frozenset({"Simulator"})
 
 
 @dataclass(frozen=True)
@@ -155,11 +153,9 @@ def _local_summary(module: ModuleInfo, fn: ast.AST,
                            f"module-level '{owner}'")
             dotted = dotted_ref(func, aliases, from_names)
             if dotted in ("os.environ.get", "os.getenv"):
-                if not _neutral_env_read(node):
-                    effect("env-read", node,
-                           f"'{fn_name}' reads os.environ: workers "
-                           f"may see a different environment than "
-                           f"the parent")
+                effect("env-read", node,
+                       f"'{fn_name}' reads os.environ: workers may "
+                       f"see a different environment than the parent")
             elif dotted is not None and (
                     dotted.startswith("repro.obs.events.")
                     or dotted == "repro.obs.events"):
@@ -175,16 +171,6 @@ def _local_summary(module: ModuleInfo, fn: ast.AST,
                        f"'{fn_name}' reads os.environ")
     return FunctionSummary(attr_reads=frozenset(reads),
                            effects=tuple(effects))
-
-
-def _neutral_env_read(node: ast.Call) -> bool:
-    """Literal-keyed read of a result-neutral variable (see PAR001)."""
-    if not node.args:
-        return False
-    key = node.args[0]
-    return (isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and key.value in RESULT_NEUTRAL_ENV_VARS)
 
 
 class SummaryIndex:
@@ -262,7 +248,7 @@ class KeyReport:
     reads: FrozenSet[str]
     #: functions reachable from the roots (for witness lookup).
     reachable: FrozenSet[FunctionId]
-    #: False when the module group has no Simulator/VectorKernel —
+    #: False when the module group has no Simulator —
     #: reads are then vacuously empty and the CKEY rules stay silent.
     has_roots: bool
 
@@ -486,10 +472,9 @@ Two allowlists over :meth:`SystemConfig.canonical_dict` field paths:
 
 * ``PINNED_EXCLUDED_FIELDS`` — fields the canonical dict *drops* even
   though simulator-reachable code reads them.  Each entry is a
-  deliberate, reviewed exception to CKEY001 (the canonical example is
-  ``sim_kernel``: it selects between golden-pinned bit-identical
-  backends, so excluding it is what makes the result cache shareable
-  across backends).
+  deliberate, reviewed exception to CKEY001: a field that selects
+  between golden-pinned bit-identical implementations may be excluded
+  so the result cache stays shared across them.
 * ``PINNED_UNREAD_FIELDS`` — fields the canonical dict *keeps* that no
   simulator-reachable code reads.  Each entry is a deliberate
   exception to CKEY002 (a field kept for forward compatibility pays

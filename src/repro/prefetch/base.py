@@ -16,14 +16,9 @@ BLOCKS_PER_PAGE = 64  # 4 KB pages of 64 B blocks
 
 @dataclass
 class PrefetcherStats:
-    """Issue/usefulness counters (usefulness filled by the hierarchy)."""
+    """Issue counter (filled by the hierarchy)."""
 
     issued: int = 0
-    useful: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.useful / self.issued if self.issued else 0.0
 
 
 class Prefetcher:

@@ -3,9 +3,9 @@
 Signature Path Prefetching chains per-page delta patterns through a
 signature table and walks the most probable path ahead of the demand
 stream; the Perceptron Prefetch Filter rejects low-confidence proposals.
-The behavioural model keeps both stages: a signature→delta correlation
-table with path confidence decay, and a threshold filter trained by
-usefulness feedback, giving the high-accuracy/high-coverage profile the
+The behavioural model keeps a signature→delta correlation table and
+stands in for the filter with a path-confidence threshold under
+multiplicative decay, giving the high-accuracy/high-coverage profile the
 paper's Figure 23 attributes to SPP+PPF.
 """
 
@@ -37,8 +37,6 @@ class SPPPrefetcher(Prefetcher):
         self._pages: Dict[int, Tuple[int, int]] = {}
         # signature -> {delta: count}
         self._patterns: Dict[int, Dict[int, int]] = {}
-        # Perceptron-filter stand-in: per-signature usefulness bias.
-        self._filter_bias: Dict[int, int] = {}
 
     def _best_delta(self, signature: int) -> Tuple[int, float]:
         table = self._patterns.get(signature)
@@ -47,14 +45,6 @@ class SPPPrefetcher(Prefetcher):
         total = sum(table.values())
         delta, count = max(table.items(), key=lambda kv: kv[1])
         return delta, count / total
-
-    def _filter_ok(self, signature: int) -> bool:
-        return self._filter_bias.get(signature, 0) >= -2
-
-    def feedback_useful(self, signature: int) -> None:
-        """PPF positive training (wired by callers that track usefulness)."""
-        self._filter_bias[signature] = min(
-            8, self._filter_bias.get(signature, 0) + 1)
 
     def observe(self, pc: int, block: int, hit: bool) -> List[int]:
         page = self.page_of(block)
@@ -89,8 +79,6 @@ class SPPPrefetcher(Prefetcher):
             path_conf *= conf * self.PATH_DECAY if conf else 0.0
             if next_delta == 0 or path_conf < self.CONFIDENCE_THRESHOLD:
                 break
-            if not self._filter_ok(path_sig):
-                break
             path_offset += next_delta
             if not 0 <= path_offset < BLOCKS_PER_PAGE:
                 break
@@ -102,4 +90,3 @@ class SPPPrefetcher(Prefetcher):
         super().reset()
         self._pages.clear()
         self._patterns.clear()
-        self._filter_bias.clear()

@@ -56,7 +56,6 @@ def _spec_from_args(args) -> Dict[str, Any]:
         "num_heterogeneous": args.heterogeneous,
         "seed": args.seed,
         "workers": args.workers,
-        "kernel": args.kernel,
     }
     if args.accesses is not None:
         spec["accesses_per_core"] = args.accesses
@@ -167,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", nargs="+", default=None,
                    help="headline labels, e.g. lru d-hawkeye")
     p.add_argument("--workers", type=int, default=0)
-    p.add_argument("--kernel", default="auto",
-                   choices=["auto", "vector", "reference"])
     p.add_argument("--spec", default=None,
                    help="JSON file with the full spec (overrides "
                         "the flags above)")

@@ -88,8 +88,6 @@ _HEADLINE_SHORTHAND = {
     "d-mockingjay": ("d-mockingjay", "mockingjay", "full"),
 }
 
-_KERNELS = ("auto", "vector", "reference")
-
 _JOB_ID_RE = re.compile(r"^job-\d{4,}$")
 
 
@@ -99,28 +97,14 @@ class JobSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ServiceProfile(ExperimentProfile):
-    """An :class:`ExperimentProfile` that pins the simulation kernel.
+    """An :class:`ExperimentProfile` that can carry declarative mixes."""
 
-    ``sim_kernel`` is result-neutral (the vectorized backend is
-    golden-pinned bit-identical to the reference path and excluded
-    from ``canonical_dict``), so jobs differing only in kernel share
-    cache entries.  The subclass exists because the engine builds
-    every :class:`SystemConfig` through ``profile.config`` and the
-    kernel choice must ride along into pooled workers, which receive
-    the profile by pickle.
-    """
-
-    sim_kernel: str = "auto"
     #: Declarative mixes (possibly carrying custom WorkloadSpecs).
     #: Non-empty replaces the standard generated mix set; each core
     #: count sweeps the declarative mixes matching its width.  The
     #: mixes ride in the (picklable, hashable) profile so pooled
     #: workers regenerate traces without any registry side channel.
     custom_mixes: Tuple[MixSpec, ...] = ()
-
-    def config(self, num_cores, policy, drishti, **overrides):
-        overrides.setdefault("sim_kernel", self.sim_kernel)
-        return super().config(num_cores, policy, drishti, **overrides)
 
     def mixes(self, num_cores):
         if self.custom_mixes:
@@ -267,7 +251,7 @@ class JobSpec:
 
     Attributes mirror the knobs of the CLI sweep path: a scale
     profile, core counts, mix counts, the policy list, and the
-    engine's parallelism/retry/kernel settings.  ``policies`` is kept
+    engine's parallelism/retry settings.  ``policies`` is kept
     in its serialisable (label, policy, drishti-mode) string form;
     :meth:`policy_triples` materialises the
     :class:`~repro.core.drishti.DrishtiConfig` objects.
@@ -284,7 +268,6 @@ class JobSpec:
     policies: Tuple[Tuple[str, str, str], ...] = tuple(
         _HEADLINE_SHORTHAND[label] for label, _p, _d in HEADLINE_POLICIES)
     workers: int = 0
-    kernel: str = "auto"
     max_retries: Optional[int] = None
     unit_timeout: Optional[float] = None
     #: Custom workload definitions (shared across declarative mixes).
@@ -296,7 +279,7 @@ class JobSpec:
     _ALLOWED_KEYS = frozenset({
         "name", "scale", "core_counts", "num_homogeneous",
         "num_heterogeneous", "seed", "accesses_per_core", "policies",
-        "workers", "kernel", "max_retries", "unit_timeout",
+        "workers", "max_retries", "unit_timeout",
         "workloads", "mixes",
     })
 
@@ -384,10 +367,6 @@ class JobSpec:
 
         workers = _int_field(data, "workers", 0, 0, 256)
 
-        kernel = data.get("kernel", "auto")
-        _require(kernel in _KERNELS,
-                 f"kernel must be one of {_KERNELS}, got {kernel!r}")
-
         max_retries = data.get("max_retries")
         if max_retries is not None:
             _require(isinstance(max_retries, int)
@@ -417,7 +396,6 @@ class JobSpec:
                    accesses_per_core=accesses,
                    policies=policies,
                    workers=workers,
-                   kernel=kernel,
                    max_retries=max_retries,
                    unit_timeout=unit_timeout,
                    workloads=workloads,
@@ -441,7 +419,6 @@ class JobSpec:
             "accesses_per_core": self.accesses_per_core,
             "policies": [list(entry) for entry in self.policies],
             "workers": self.workers,
-            "kernel": self.kernel,
             "max_retries": self.max_retries,
             "unit_timeout": self.unit_timeout,
             "workloads": [w.to_dict() for w in self.workloads]
@@ -452,8 +429,14 @@ class JobSpec:
 
     @classmethod
     def from_record_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        """Rehydrate a spec from :meth:`to_dict` output (job.json)."""
+        """Rehydrate a spec from :meth:`to_dict` output (job.json).
+
+        Records written before the simulation-kernel knob was removed
+        carry a ``kernel`` key; it never changed results, so it is
+        dropped and the job resumes unchanged.
+        """
         spec = dict(data)
+        spec.pop("kernel", None)
         spec["policies"] = [
             {"label": label, "policy": policy, "drishti": drishti}
             for label, policy, drishti in
@@ -474,7 +457,6 @@ class JobSpec:
                               num_homogeneous=self.num_homogeneous,
                               num_heterogeneous=self.num_heterogeneous,
                               seed=self.seed,
-                              sim_kernel=self.kernel,
                               custom_mixes=self.mixes)
 
     def policy_triples(self) -> Tuple[Tuple[str, str, DrishtiConfig], ...]:

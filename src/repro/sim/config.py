@@ -161,13 +161,6 @@ class SystemConfig:
             non-inclusive, as is Sunny Cove's L3; this knob exists for
             sensitivity studies).
         seed: seed for all stochastic components.
-        sim_kernel: access-processing backend — ``"auto"`` (vectorized
-            kernel when the config is eligible, reference otherwise),
-            ``"vector"``, or ``"reference"``.  Results are bit-identical
-            across backends, so this field is excluded from
-            :meth:`canonical_dict` / :meth:`fingerprint`.  Overridable at
-            run time via the ``REPRO_SIM_KERNEL`` environment variable
-            (see :mod:`repro.sim.kernel`).
     """
 
     num_cores: int = 4
@@ -190,15 +183,10 @@ class SystemConfig:
     model_tlb: bool = False
     llc_inclusive: bool = False
     seed: int = 0
-    sim_kernel: str = "auto"
 
     def __post_init__(self):
         if self.num_cores < 1:
             raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
-        if self.sim_kernel not in ("auto", "vector", "reference"):
-            raise ValueError(
-                f"sim_kernel must be 'auto', 'vector' or 'reference', "
-                f"got {self.sim_kernel!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -249,12 +237,10 @@ class SystemConfig:
 
         Every field that can influence a simulation *result* is included,
         so two configs with equal canonical dicts produce identical runs.
-        ``sim_kernel`` is excluded: the vectorized backend is pinned
-        bit-identical to the reference path, so cached sweep results are
-        shared across backends.  ``l1.mshrs``/``l2.mshrs`` are excluded
-        because the timing model does not consume MSHR counts — keeping
-        them would split the cache key over a knob that cannot change
-        any result (the CKEY002 lint proves the field is unread).
+        ``l1.mshrs``/``l2.mshrs`` are excluded because the timing model
+        does not consume MSHR counts — keeping them would split the
+        cache key over a knob that cannot change any result (the CKEY002
+        lint proves the field is unread).
         Values that are not JSON-native (e.g. policy-param objects) are
         rendered via ``repr`` at serialisation time.
 
@@ -263,7 +249,6 @@ class SystemConfig:
         ``docs/performance.md``.
         """
         data = asdict(self)
-        data.pop("sim_kernel", None)
         data["l1"].pop("mshrs", None)
         data["l2"].pop("mshrs", None)
         return data

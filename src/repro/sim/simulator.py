@@ -35,7 +35,6 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.cpu.core_model import CoreTiming
 from repro.obs.sampling import SimTelemetry
 from repro.sim.config import SystemConfig
-from repro.sim.kernel import VectorKernel, resolve_kernel
 from repro.traces.trace import Trace
 
 
@@ -116,6 +115,9 @@ class Simulator:
             bit-identical).
     """
 
+    # The only access path; kept so run observers can keep reading it.
+    kernel_used = "reference"
+
     def __init__(self, config: SystemConfig, traces: Sequence[Trace],
                  warmup_accesses: Optional[int] = None,
                  telemetry: Optional[SimTelemetry] = None):
@@ -144,10 +146,6 @@ class Simulator:
                     lambda i=i: self.cores[i].instructions)
                 registry.register(f"core.{i}.cycles",
                                   lambda i=i: self.cores[i].cycle)
-        # Set by run(): which access-processing backend executed and,
-        # when it fell back to the reference path, why.
-        self.kernel_used: Optional[str] = None
-        self.kernel_fallback_reasons: List[str] = []
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -159,16 +157,8 @@ class Simulator:
         the single-core case walks its trace directly instead of
         churning a one-element heap.  Both paths apply the exact same
         access/warmup semantics.
-
-        Backend selection: eligible configs (see
-        :func:`repro.sim.kernel.resolve_kernel`) may take the
-        bit-identical vectorized kernel; ``self.kernel_used`` /
-        ``self.kernel_fallback_reasons`` record the decision.
         """
         num_active = len(self.traces)
-        positions = [0] * num_active
-        processed = [0] * num_active
-        warm = [self.warmup_accesses == 0] * num_active
         snapshots: Dict[int, tuple] = {}
         stats_reset_done = self.warmup_accesses == 0
 
@@ -185,38 +175,13 @@ class Simulator:
         sample_every = (self.telemetry.sample_interval
                         if self.telemetry is not None else 0)
 
-        kernel_used, fallback_reasons = resolve_kernel(
-            self.config, self.telemetry)
-        kernel = None
-        if kernel_used == "vector" and num_active > 0:
-            kernel = VectorKernel(self)
-            if not kernel.ready():
-                kernel = None
-                kernel_used = "reference"
-                fallback_reasons = [
-                    "simulator already ran: the lean private-level "
-                    "replica assumes cold caches"]
-        elif kernel_used == "vector":
-            kernel_used = "reference"  # nothing to vectorize
-        self.kernel_used = kernel_used
-        self.kernel_fallback_reasons = fallback_reasons
-
-        if kernel is not None:
-            if num_active == 1:
-                stats_reset_done = kernel.run_single_core(
-                    warmup_accesses, snapshots, stats_reset_done)
-            else:
-                stats_reset_done = kernel.run_interleaved(
-                    num_active, positions, processed, warm,
-                    warmup_accesses, snapshots, stats_reset_done)
-        elif num_active == 1:
+        if num_active == 1:
             stats_reset_done = self._run_single_core(
                 warmup_accesses, demand_access, l1_hit_threshold,
                 snapshots, stats_reset_done, sample_every)
         else:
             stats_reset_done = self._run_interleaved(
-                num_active, positions, processed, warm,
-                warmup_accesses, demand_access, l1_hit_threshold,
+                num_active, warmup_accesses, demand_access, l1_hit_threshold,
                 snapshots, stats_reset_done, sample_every)
 
         if not stats_reset_done:
@@ -251,9 +216,8 @@ class Simulator:
         core.finish()
         return stats_reset_done
 
-    def _run_interleaved(self, num_active: int, positions, processed,
-                         warm, warmup_accesses: int, demand_access,
-                         l1_hit_threshold: int,
+    def _run_interleaved(self, num_active: int, warmup_accesses: int,
+                         demand_access, l1_hit_threshold: int,
                          snapshots: Dict[int, tuple],
                          stats_reset_done: bool,
                          sample_every: int = 0) -> bool:
@@ -261,6 +225,9 @@ class Simulator:
         traces = self.traces
         cores = self.cores
         trace_lengths = [len(t) for t in traces]
+        positions = [0] * num_active
+        processed = [0] * num_active
+        warm = [warmup_accesses == 0] * num_active
         heappush = heapq.heappush
         heappop = heapq.heappop
 

@@ -10,9 +10,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 BLOCK_BYTES = 64
 BLOCK_SHIFT = 6  # log2(BLOCK_BYTES)
@@ -50,25 +48,6 @@ class MemoryAccess:
         object.__setattr__(self, "block", self.address >> BLOCK_SHIFT)
 
 
-@dataclass(frozen=True)
-class TraceArrays:
-    """Structure-of-arrays view of a trace (see :meth:`Trace.as_arrays`).
-
-    All arrays share the trace's length and order.  ``home_slice`` is
-    filled per ``(hash_scheme, num_slices)`` pair on request via
-    :meth:`Trace.home_slices` and is not part of this container.
-    """
-
-    pc: np.ndarray          # int64
-    block: np.ndarray       # int64
-    is_write: np.ndarray    # bool_
-    instr_gap: np.ndarray   # int64
-    dependent: np.ndarray   # bool_
-
-    def __len__(self) -> int:
-        return len(self.pc)
-
-
 @dataclass
 class TraceStats:
     """Summary statistics of a trace, computed once on demand."""
@@ -104,8 +83,6 @@ class Trace:
         self.name = name
         self._accesses: List[MemoryAccess] = list(accesses)
         self._stats: Optional[TraceStats] = None
-        self._arrays: Optional[TraceArrays] = None
-        self._home_slices: Dict[Tuple[str, int], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._accesses)
@@ -132,49 +109,6 @@ class Trace:
         if self._stats is None:
             self._stats = self._compute_stats()
         return self._stats
-
-    def as_arrays(self) -> TraceArrays:
-        """Structure-of-arrays view of the trace, built once and cached.
-
-        The batched simulation kernel (:mod:`repro.sim.kernel`) consumes
-        these NumPy columns instead of iterating :class:`MemoryAccess`
-        objects.  Traces are immutable, so the view never goes stale.
-        Home-slice ids are cached separately per hash configuration; see
-        :meth:`home_slices`.
-        """
-        if self._arrays is None:
-            accs = self._accesses
-            n = len(accs)
-            # One list comprehension per column + the C-level np.array
-            # constructor is several times faster than element-wise
-            # ndarray assignment.
-            self._arrays = TraceArrays(
-                pc=np.array([a.pc for a in accs], dtype=np.int64),
-                block=np.array([a.block for a in accs], dtype=np.int64),
-                is_write=np.fromiter((a.is_write for a in accs),
-                                     dtype=np.bool_, count=n),
-                instr_gap=np.array([a.instr_gap for a in accs],
-                                   dtype=np.int64),
-                dependent=np.fromiter((a.dependent for a in accs),
-                                      dtype=np.bool_, count=n),
-            )
-        return self._arrays
-
-    def home_slices(self, hash_scheme: str, num_slices: int) -> np.ndarray:
-        """Per-access home-slice ids under *hash_scheme*, cached.
-
-        Computed vectorised via :meth:`repro.cache.slice_hash.SliceHash.
-        slices_of`, which is pinned equal to the scalar ``slice_of`` used
-        by the reference path.
-        """
-        key = (hash_scheme, num_slices)
-        cached = self._home_slices.get(key)
-        if cached is None:
-            from repro.cache.slice_hash import SliceHash
-            hasher = SliceHash(num_slices, scheme=hash_scheme)
-            cached = hasher.slices_of(self.as_arrays().block)
-            self._home_slices[key] = cached
-        return cached
 
     def _compute_stats(self) -> TraceStats:
         pcs = set()

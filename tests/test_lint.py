@@ -120,7 +120,8 @@ class TestRuleFixtures:
         result = lint_path(tmp_path / "src", select=["INV004"])
         assert not result.ok
         assert codes(result) == {"INV004"}
-        assert "differential" in result.violations[0].message
+        assert "registry-wide simulation test" in \
+            result.violations[0].message
 
 
 # ---------------------------------------------------------------------------

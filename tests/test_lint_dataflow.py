@@ -583,55 +583,34 @@ class TestPoolPurity:
             """, select=["PAR001"])
         assert result.ok, [v.render() for v in result.violations]
 
-    def test_result_neutral_env_read_is_exempt(self, tmp_path):
-        """REPRO_SIM_KERNEL selects between bit-identical backends, so
-        a worker reading it cannot make pooled and serial runs diverge
-        — the literal-keyed read is allowlisted."""
-        result = lint_source(tmp_path, """
-            import os
-
-
-            def work(x):
-                kernel = os.environ.get("REPRO_SIM_KERNEL")
-                return (x, kernel == "vector")
-
-
-            def run(xs, pool):
-                return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
-        assert result.ok, [v.render() for v in result.violations]
-
-    def test_computed_env_key_stays_flagged(self, tmp_path):
-        """Only a *literal* allowlisted key is exempt: a computed key
-        could name any variable, so the read stays a violation."""
-        result = lint_source(tmp_path, """
-            import os
-
-            KEY = "REPRO_SIM_KERNEL"
+    @pytest.mark.parametrize("body", [
+        # Computed key: could name any variable.
+        """
+            KEY = "REPRO_SWEEP_WORKERS"
 
 
             def work(x):
                 return (x, os.environ.get(KEY))
-
-
-            def run(xs, pool):
-                return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
-        assert not result.ok
-        assert "os.environ" in result.violations[0].message
-
-    def test_non_allowlisted_literal_env_key_stays_flagged(self, tmp_path):
-        result = lint_source(tmp_path, """
-            import os
-
-
+        """,
+        """
             def work(x):
                 return x * int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
-
+        """,
+        # Literal backend selector via os.getenv: no variable is exempt,
+        # even one whose every value gives the same result.
+        """
+            def work(x):
+                backend = os.getenv("REPRO_SIM_BACKEND")
+                return (x, backend == "vector")
+        """,
+    ], ids=["computed-key", "literal-key", "backend-selector"])
+    def test_env_read_in_worker_stays_flagged(self, tmp_path, body):
+        source = "import os\n" + textwrap.dedent(body) + textwrap.dedent("""
 
             def run(xs, pool):
                 return [pool.submit(work, x) for x in xs]
-            """, select=["PAR001"])
+            """)
+        result = lint_source(tmp_path, source, select=["PAR001"])
         assert not result.ok
         assert "os.environ" in result.violations[0].message
 

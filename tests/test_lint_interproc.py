@@ -177,6 +177,30 @@ class TestCallGraphEdges:
         assert ("pkg.hoist", "Hier.access") in graph.callees(
             ("pkg.hoist", "Sim.run"))
 
+    def test_hoist_passed_to_a_helper_keeps_the_edge(self, tmp_path):
+        # Simulator.run's idiom: hoist the bound method, then hand it to
+        # the loop helper, which calls it through an untyped parameter.
+        project = build_pkg(tmp_path, {
+            "hoist.py": ("class Hier:\n"
+                         "    def access(self):\n"
+                         "        return 1\n"
+                         "\n"
+                         "\n"
+                         "class Sim:\n"
+                         "    def __init__(self):\n"
+                         "        self.h = Hier()\n"
+                         "\n"
+                         "    def run(self):\n"
+                         "        fn = self.h.access\n"
+                         "        return self._loop(fn)\n"
+                         "\n"
+                         "    def _loop(self, fn):\n"
+                         "        return fn()\n"),
+        })
+        graph = project.callgraph()
+        assert ("pkg.hoist", "Hier.access") in graph.callees(
+            ("pkg.hoist", "Sim.run"))
+
     def test_registry_dispatch_fans_out_to_the_pool(self, tmp_path):
         project = build_pkg(tmp_path, {
             "reg.py": ("class LRU:\n"
@@ -272,11 +296,10 @@ class TestCkeyPin:
         pin_path = SRC / "lint" / "ckey_pin.py"
         assert captured.out == pin_path.read_text(encoding="utf-8")
 
-    def test_sim_kernel_is_the_only_pinned_exclusion(self):
-        # The exclusion is deliberate: backends are golden-pinned
-        # bit-identical, so sharing cached results across them is the
-        # point of the exclusion (see docs/performance.md).
-        assert set(PINNED_EXCLUDED_FIELDS) == {"sim_kernel"}
+    def test_no_field_is_pinned(self):
+        # Every field the simulator reads is keyed and every keyed field
+        # is read: neither allowlist needs an entry.
+        assert set(PINNED_EXCLUDED_FIELDS) == set()
         assert set(PINNED_UNREAD_FIELDS) == set()
 
 
@@ -335,11 +358,6 @@ class TestSystemConfigKeySurface:
             l1=CacheConfig(sets=128, ways=12, latency=5, mshrs=16))
         assert base.fingerprint() != other.fingerprint()
 
-    def test_sim_kernel_still_excluded(self):
-        auto = SystemConfig(sim_kernel="auto")
-        ref = SystemConfig(sim_kernel="reference")
-        assert auto.fingerprint() == ref.fingerprint()
-
 
 # ---------------------------------------------------------------------------
 # Seeded mutation: CKEY001 must catch a forgotten key entry
@@ -354,12 +372,12 @@ def _mutated_tree(tmp_path, include_in_key):
                     ignore=shutil.ignore_patterns("__pycache__"))
     config = target / "sim" / "config.py"
     text = config.read_text(encoding="utf-8")
-    anchor = '    sim_kernel: str = "auto"\n'
-    assert anchor in text
+    anchor = '    seed: int = 0\n'
+    assert text.count(anchor) == 1
     text = text.replace(anchor,
                         anchor + "    spec_window: int = 4\n")
     if not include_in_key:
-        pop = '        data.pop("sim_kernel", None)\n'
+        pop = '        data["l2"].pop("mshrs", None)\n'
         assert pop in text
         text = text.replace(
             pop, pop + '        data.pop("spec_window", None)\n')

@@ -75,7 +75,6 @@ class TestJobSpec:
         profile = JobSpec.from_dict(TINY_SPEC).profile()
         assert profile.scale.accesses_per_core == 600
         assert profile.core_counts == (2,)
-        assert profile.sim_kernel == "auto"
 
     def test_policy_dict_form(self):
         spec = JobSpec.from_dict({
@@ -124,7 +123,7 @@ class TestJobSpec:
         {"policies": [{"policy": "lru", "extra": 1}]},
         {"policies": ["lru", "lru"]},
         {"workers": -1},
-        {"kernel": "gpu"},
+        {"kernel": "auto"},  # the removed backend knob is unknown now
         {"max_retries": -1},
         {"unit_timeout": 0},
         {"scale": {"llc_sets_per_slice": 32}},
@@ -496,6 +495,32 @@ class TestDaemonEndToEnd:
         assert final["status"] == "cancelled"
         assert not harness.daemon.store.manifest_path(
             queued["job_id"]).exists()
+
+
+class TestLegacyJobRecord:
+    def test_stored_kernel_key_is_dropped_and_job_resumes(self, tmp_path):
+        """A job.json written by a daemon that still had the kernel knob
+        recovers on startup and finishes with the clean sweep's result."""
+        root = tmp_path / "service"
+        store = JobStore(root)
+        job_id = store.create(JobSpec.from_dict(TINY_SPEC)).job_id
+        path = store.record_path(job_id)
+        data = json.loads(path.read_text())
+        data["spec"]["kernel"] = "vector"
+        data["status"] = "running"  # the old daemon died mid-sweep
+        path.write_text(json.dumps(data))
+
+        h = DaemonHarness(root)
+        try:
+            final = h.client.wait(job_id, timeout=120)
+            result = h.client.result(job_id)
+        finally:
+            h.close()
+        assert final["status"] == "done"
+        assert final["restarts"] == 1
+        spec = JobSpec.from_dict(TINY_SPEC)
+        matrix = SweepEngine().run(spec.profile(), spec.policy_triples())
+        assert result == json.loads(json.dumps(matrix_to_dict(matrix)))
 
 
 # ---------------------------------------------------------------------------

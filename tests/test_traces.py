@@ -1,5 +1,8 @@
 """Tests for trace records and containers."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.traces.trace import BLOCK_BYTES, MemoryAccess, Trace, block_of
@@ -102,3 +105,34 @@ class TestTrace:
         assert tr.stats.num_accesses == 0
         assert tr.stats.accesses_per_kilo_instr == 0.0
         assert tr.stats.write_fraction == 0.0
+
+
+class TestMemoryAccessLayout:
+    def test_slots_no_dict(self):
+        acc = MemoryAccess(pc=1, address=1 << 12)
+        assert not hasattr(acc, "__dict__")
+
+    def test_block_precomputed(self):
+        acc = MemoryAccess(pc=1, address=0x1FC0)
+        assert acc.block == 0x1FC0 >> 6
+
+    def test_frozen(self):
+        acc = MemoryAccess(pc=1, address=64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            acc.pc = 2
+
+    def test_pickle_roundtrip(self):
+        """Pool workers receive traces by pickle; the slotted layout
+        must survive the trip with the derived block intact."""
+        acc = MemoryAccess(pc=7, address=12345 * 64, is_write=True,
+                           instr_gap=3, dependent=True)
+        clone = pickle.loads(pickle.dumps(acc))
+        assert clone == acc
+        assert clone.block == acc.block
+
+    def test_trace_pickle_roundtrip(self):
+        trace = Trace("t", [MemoryAccess(pc=i, address=i * 64)
+                            for i in range(10)])
+        clone = pickle.loads(pickle.dumps(trace))
+        assert len(clone) == 10
+        assert clone[3].block == 3
