@@ -8,7 +8,7 @@ for PC/core signatures, and the Drishti predictor fabric for routing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Access kinds.  Policies treat them differently: demand loads train
 # reuse predictors, prefetches carry the triggering load's PC plus a
@@ -18,9 +18,13 @@ PREFETCH = "prefetch"
 WRITEBACK = "writeback"
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessContext:
-    """Everything the memory system needs to know about one access."""
+    """Everything the memory system needs to know about one access.
+
+    The kind flags are computed once at construction; ``kind`` is not
+    changed afterwards.
+    """
 
     pc: int
     block: int
@@ -29,18 +33,15 @@ class AccessContext:
     kind: str = DEMAND
     cycle: int = 0
     slice_id: int = 0  # filled in by the sliced LLC front-end
+    is_demand: bool = field(init=False, repr=False, compare=False)
+    is_prefetch: bool = field(init=False, repr=False, compare=False)
+    is_writeback: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_prefetch(self) -> bool:
-        return self.kind == PREFETCH
-
-    @property
-    def is_demand(self) -> bool:
-        return self.kind == DEMAND
-
-    @property
-    def is_writeback(self) -> bool:
-        return self.kind == WRITEBACK
+    def __post_init__(self) -> None:
+        kind = self.kind
+        self.is_demand = kind == DEMAND
+        self.is_prefetch = kind == PREFETCH
+        self.is_writeback = kind == WRITEBACK
 
 
 class CacheBlock:
@@ -77,10 +78,10 @@ class CacheBlock:
         """Install the line described by *ctx*."""
         self.valid = True
         self.block = ctx.block
-        self.dirty = ctx.is_write or ctx.kind == WRITEBACK
+        self.dirty = ctx.is_write or ctx.is_writeback
         self.pc = ctx.pc
         self.core_id = ctx.core_id
-        self.is_prefetch = ctx.kind == PREFETCH
+        self.is_prefetch = ctx.is_prefetch
         self.inserted_at = ctx.cycle
         self.last_touch = ctx.cycle
 

@@ -11,16 +11,23 @@ timing model.  Replacement policies receive hook calls:
   value is extra fill-path latency in cycles (Drishti's predictor fabric
   charges remote-predictor lookups here),
 * ``on_evict(set_idx, way, block, ctx)`` before a valid line leaves.
+
+Lookups are O(1): the cache keeps a ``block -> way`` index of its valid
+lines.  The index invariant is that only :meth:`Cache.fill` and
+:meth:`Cache.invalidate` change which block a line holds or whether it
+is valid, and both update the index in the same step; with
+``REPRO_SANITIZE=1`` they cross-check the touched set against a scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.cache.block import WRITEBACK, AccessContext, CacheBlock
+from repro.cache.block import AccessContext, CacheBlock
+from repro.obs.sanitize import SANITIZE, IndexCoherenceError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.replacement.base import ReplacementPolicy
@@ -62,7 +69,7 @@ class CacheStats:
         return merged
 
 
-@dataclass
+@dataclass(slots=True)
 class EvictedBlock:
     """A line evicted by a fill; the hierarchy routes dirty ones downward."""
 
@@ -72,7 +79,7 @@ class EvictedBlock:
     core_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessOutcome:
     """Result of a cache access."""
 
@@ -108,6 +115,8 @@ class Cache:
             [CacheBlock() for _ in range(num_ways)] for _ in range(num_sets)
         ]
         self._set_mask = num_sets - 1
+        #: block -> way of every valid line (see the module docstring).
+        self._way_of: Dict[int, int] = {}
         self.track_set_stats = track_set_stats
         if track_set_stats:
             self.set_accesses = np.zeros(num_sets, dtype=np.int64)
@@ -128,13 +137,13 @@ class Cache:
 
     def find_way(self, set_idx: int, block: int) -> Optional[int]:
         """Way holding *block* in *set_idx*, or None (no side effects)."""
-        for way, line in enumerate(self._sets[set_idx]):
-            if line.valid and line.block == block:
-                return way
-        return None
+        way = self._way_of.get(block)
+        if way is None or block & self._set_mask != set_idx:
+            return None
+        return way
 
     def contains(self, block: int) -> bool:
-        return self.find_way(self.set_index(block), block) is not None
+        return block in self._way_of
 
     # ------------------------------------------------------------------
     # Core operations
@@ -145,25 +154,27 @@ class Cache:
         Does not fill on a miss — the hierarchy fills after the lower
         levels respond, via :meth:`fill`.
         """
-        set_idx = self.set_index(ctx.block)
-        way = self.find_way(set_idx, ctx.block)
+        block = ctx.block
+        set_idx = block & self._set_mask
+        way = self._way_of.get(block)
         hit = way is not None
 
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         if hit:
-            self.stats.hits += 1
+            stats.hits += 1
         else:
-            self.stats.misses += 1
+            stats.misses += 1
         if ctx.is_demand:
-            self.stats.demand_accesses += 1
+            stats.demand_accesses += 1
             if hit:
-                self.stats.demand_hits += 1
+                stats.demand_hits += 1
             else:
-                self.stats.demand_misses += 1
+                stats.demand_misses += 1
         elif ctx.is_prefetch:
-            self.stats.prefetch_accesses += 1
+            stats.prefetch_accesses += 1
             if hit:
-                self.stats.prefetch_hits += 1
+                stats.prefetch_hits += 1
 
         if self.track_set_stats and not ctx.is_writeback:
             self.set_accesses[set_idx] += 1
@@ -185,50 +196,83 @@ class Cache:
         bypass); ``extra_latency`` is the policy's fill-path overhead in
         cycles (zero for conventional policies).
         """
-        set_idx = self.set_index(ctx.block)
+        block = ctx.block
+        set_idx = block & self._set_mask
         blocks = self._sets[set_idx]
+        way_of = self._way_of
 
         # Refilling a resident block (e.g. a writeback-allocate racing a
         # demand fill) just refreshes the line.
-        existing = self.find_way(set_idx, ctx.block)
+        existing = way_of.get(block)
         if existing is not None:
             line = blocks[existing]
             line.last_touch = ctx.cycle
-            if ctx.is_write or ctx.kind == WRITEBACK:
+            if ctx.is_write or ctx.is_writeback:
                 line.dirty = True
             return None, 0
 
-        victim_way = self.policy.choose_victim(set_idx, blocks, ctx)
-        if victim_way == self.policy.BYPASS:
+        policy = self.policy
+        victim_way = policy.choose_victim(set_idx, blocks, ctx)
+        if victim_way == policy.BYPASS:
             self.stats.bypasses += 1
-            return None, self.policy.take_fill_latency()
+            return None, policy.take_fill_latency()
 
+        stats = self.stats
         line = blocks[victim_way]
         evicted = None
         if line.valid:
-            self.policy.on_evict(set_idx, victim_way, line, ctx)
-            evicted = EvictedBlock(block=line.block, dirty=line.dirty,
-                                   pc=line.pc, core_id=line.core_id)
-            self.stats.evictions += 1
+            policy.on_evict(set_idx, victim_way, line, ctx)
+            evicted = EvictedBlock(line.block, line.dirty, line.pc,
+                                   line.core_id)
+            del way_of[line.block]
+            stats.evictions += 1
             if line.dirty:
-                self.stats.writebacks_out += 1
+                stats.writebacks_out += 1
 
         line.fill(ctx)
-        self.stats.fills += 1
+        way_of[block] = victim_way
+        if SANITIZE:
+            self._check_index(set_idx,
+                              None if evicted is None else evicted.block)
+        stats.fills += 1
         if ctx.is_writeback:
-            self.stats.writeback_fills += 1
-        extra = self.policy.on_fill(set_idx, victim_way, ctx) or 0
-        extra += self.policy.take_fill_latency()
+            stats.writeback_fills += 1
+        extra = policy.on_fill(set_idx, victim_way, ctx) or 0
+        extra += policy.take_fill_latency()
         return evicted, extra
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if present; returns True if it was resident."""
-        set_idx = self.set_index(block)
-        way = self.find_way(set_idx, block)
+        way = self._way_of.pop(block, None)
         if way is None:
             return False
+        set_idx = block & self._set_mask
+        if SANITIZE:
+            self._check_index(set_idx, block, gone_way=way)
         self._sets[set_idx][way].reset()
         return True
+
+    def _check_index(self, set_idx: int, gone_block: Optional[int],
+                     gone_way: int = -1) -> None:
+        """Sanitizer: the index agrees with a scan of *set_idx*.
+
+        *gone_block* was just dropped from the index (None if nothing
+        was); with *gone_way*, that way still holds it, about to be reset.
+        """
+        way_of = self._way_of
+        if gone_block is not None and gone_block in way_of:
+            raise IndexCoherenceError(
+                f"{self.name}: block {gone_block:#x} left set {set_idx} "
+                f"but is still indexed at way {way_of[gone_block]}")
+        for way, line in enumerate(self._sets[set_idx]):
+            if way == gone_way:
+                coherent = line.valid and line.block == gone_block
+            else:
+                coherent = not line.valid or way_of.get(line.block) == way
+            if not coherent:
+                raise IndexCoherenceError(
+                    f"{self.name}: set {set_idx} way {way} holds {line!r} "
+                    f"but the index says {way_of.get(line.block)}")
 
     def occupancy(self) -> float:
         """Fraction of ways currently valid (diagnostics)."""

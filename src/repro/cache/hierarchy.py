@@ -148,16 +148,17 @@ class MemoryHierarchy:
             self._back_invalidate(evicted.block)
 
     def _writeback_to_llc(self, core_id: int, block: int, cycle: int) -> None:
-        ctx = AccessContext(pc=0, block=block, core_id=core_id,
-                            is_write=True, kind=WRITEBACK, cycle=cycle)
         slice_id = self.llc.slice_of(block)
+        ctx = AccessContext(pc=0, block=block, core_id=core_id,
+                            is_write=True, kind=WRITEBACK, cycle=cycle,
+                            slice_id=slice_id)
         self.mesh.latency(core_id, slice_id, traffic_class="writeback")
-        if self.llc.slices[slice_id].find_way(
-                self.llc.slices[slice_id].set_index(block), block) is not None:
+        llc_slice = self.llc.slices[slice_id]
+        if llc_slice.contains(block):
             # Present: just mark dirty (counted as a writeback access).
-            self.llc.slices[slice_id].access(ctx)
+            llc_slice.access(ctx)
             return
-        evicted, _extra = self.llc.fill(ctx)
+        evicted, _extra = llc_slice.fill(ctx)
         self._handle_llc_eviction(evicted, cycle)
 
     def _writeback_to_l2(self, core_id: int, block: int, cycle: int) -> None:
@@ -231,10 +232,10 @@ class MemoryHierarchy:
         latency += cfg.llc_latency
         stats.llc_accesses += 1
         ctx.slice_id = slice_id
-        llc_outcome = self.llc.slices[slice_id].access(ctx)
+        llc_slice = self.llc.slices[slice_id]
+        llc_outcome = llc_slice.access(ctx)
         if llc_outcome.hit:
-            self._credit_prefetch(self.llc.slices[slice_id], block,
-                                  llc_outcome.way, core_id)
+            self._credit_prefetch(llc_slice, block, llc_outcome.way, core_id)
         else:
             stats.llc_misses += 1
             wait = self._pending_wait(block, cycle + latency)
@@ -246,7 +247,7 @@ class MemoryHierarchy:
                                               now=int(cycle + latency))
                 latency += dram_latency
                 self._note_pending(block, cycle + latency)
-            evicted, extra = self.llc.fill(ctx)
+            evicted, extra = llc_slice.fill(ctx)
             latency += extra
             self._handle_llc_eviction(evicted, int(cycle + latency))
         latency += self.mesh.latency(slice_id, core_id,
@@ -307,15 +308,15 @@ class MemoryHierarchy:
         slice_id = self.llc.slice_of(block)
         latency = float(self.config.l2.latency)
         ctx.slice_id = slice_id
-        llc_hit = self.llc.slices[slice_id].access(ctx).hit
-        if not llc_hit:
+        llc_slice = self.llc.slices[slice_id]
+        if not llc_slice.access(ctx).hit:
             latency += self.mesh.latency(core_id, slice_id,
                                          traffic_class="prefetch")
             latency += self.config.llc_latency
             if self._pending_fill.get(block, 0) <= cycle + latency:
                 latency += self.dram.read(block, now=int(cycle + latency))
                 self._note_pending(block, cycle + latency)
-            evicted, _extra = self.llc.fill(ctx)
+            evicted, _extra = llc_slice.fill(ctx)
             self._handle_llc_eviction(evicted, int(cycle + latency))
         self._fill_l2(core_id, ctx, cycle)
         if fill_level == "l1":

@@ -90,11 +90,14 @@ class SliceHash:
             raise ValueError(f"unknown slice-hash scheme {scheme!r}")
         self.num_slices = num_slices
         self.scheme = scheme
-        self._fn = fold_xor_slice if scheme == "fold_xor" else modulo_slice
+        self._fold = scheme == "fold_xor"
+        self._fn = fold_xor_slice if self._fold else modulo_slice
 
     def slice_of(self, block: int) -> int:
-        """Slice id for a single block number."""
-        return int(self._fn(block, self.num_slices))
+        """Slice id for a single block number (scalar path, no dispatch)."""
+        if self._fold:
+            return _mix64_scalar(block) % self.num_slices
+        return block % self.num_slices
 
     def slices_of(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised slice ids for an array of block numbers."""

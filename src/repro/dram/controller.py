@@ -93,6 +93,9 @@ class DRAMController:
                           for _ in range(num_channels)]
         self.stats = DRAMStats()
         self._blocks_per_row = max(1, timing.row_buffer_bytes // BLOCK_BYTES)
+        self._row_hit_latency = timing.row_hit_latency
+        self._row_miss_latency = timing.row_miss_latency
+        self._burst = timing.burst_cycles
 
     # ------------------------------------------------------------------
     def _map(self, block: int):
@@ -107,45 +110,46 @@ class DRAMController:
     def _drain_writes(self, channel: "_Channel", now: int) -> int:
         """Drain buffered writes into idle bus time; returns forced-drain
         cycles that delay the caller (watermark exceeded)."""
-        idle = max(0, now - channel.bus_free_at)
-        drained = min(channel.pending_writes,
-                      idle // max(1, self.timing.burst_cycles))
-        channel.pending_writes -= drained
-        if channel.pending_writes <= self._watermark:
+        pending = channel.pending_writes
+        if pending:
+            idle = now - channel.bus_free_at
+            if idle > 0:
+                pending -= min(pending, idle // max(1, self._burst))
+        if pending <= self._watermark:
+            channel.pending_writes = pending
             return 0
-        forced = channel.pending_writes - self._watermark
         channel.pending_writes = self._watermark
-        return forced * self.timing.burst_cycles
+        return (pending - self._watermark) * self._burst
 
     def _service(self, block: int, now: int, is_write: bool) -> int:
         channel_id, bank_id, row = self._map(block)
         channel = self._channels[channel_id]
         bank = channel.banks[bank_id]
+        stats = self.stats
 
         if bank.open_row == row:
-            array_latency = self.timing.row_hit_latency
-            self.stats.row_hits += 1
+            array_latency = self._row_hit_latency
+            stats.row_hits += 1
         else:
-            array_latency = self.timing.row_miss_latency
-            self.stats.row_misses += 1
+            array_latency = self._row_miss_latency
+            stats.row_misses += 1
             bank.open_row = row
 
         if is_write:
             # Posted into the write queue; the bus is used later, in
             # idle gaps or a forced drain.
-            self.stats.writes += 1
+            stats.writes += 1
             channel.pending_writes += 1
             return 0
 
         forced_drain = self._drain_writes(channel, now)
         queue_wait = max(0, channel.bus_free_at - now) + forced_drain
-        self.stats.queue_wait_cycles += queue_wait
-        start = now + queue_wait
-        channel.bus_free_at = start + self.timing.burst_cycles
+        stats.queue_wait_cycles += queue_wait
+        channel.bus_free_at = now + queue_wait + self._burst
 
-        latency = queue_wait + array_latency + self.timing.burst_cycles
-        self.stats.reads += 1
-        self.stats.total_read_latency += latency
+        latency = queue_wait + array_latency + self._burst
+        stats.reads += 1
+        stats.total_read_latency += latency
         return latency
 
     # ------------------------------------------------------------------

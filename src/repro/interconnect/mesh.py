@@ -11,7 +11,7 @@ when Drishti's messages ride the existing mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.interconnect.topology import MeshTopology
 
@@ -61,6 +61,13 @@ class MeshNoC:
         self.injection_cycles = injection_cycles
         self.congestion_per_node = congestion_per_node
         self.stats = NoCStats()
+        # (hops, latency) per (src, dst), tabled once from the formulas
+        # below; a dict, so an out-of-range node is a miss, not a wrap.
+        nodes = range(num_nodes)
+        self._routes: Dict[Tuple[int, int], Tuple[int, int]] = {
+            (src, dst): (self.topology.hops(src, dst),
+                         self._contended_latency(src, dst))
+            for src in nodes for dst in nodes}
 
     def base_latency(self, src: int, dst: int) -> int:
         """Uncontended latency from *src* to *dst* in cycles."""
@@ -70,12 +77,21 @@ class MeshNoC:
         return self.injection_cycles + hops * (self.router_cycles +
                                                self.link_cycles)
 
-    def latency(self, src: int, dst: int, traffic_class: str = "data") -> int:
-        """Latency with the first-order congestion term; counts traffic."""
+    def _contended_latency(self, src: int, dst: int) -> int:
+        """:meth:`base_latency` plus the first-order congestion term."""
         hops = self.topology.hops(src, dst)
         congestion = int(round(hops * self.congestion_per_node *
                                self.topology.num_nodes))
-        lat = self.base_latency(src, dst) + congestion
+        return self.base_latency(src, dst) + congestion
+
+    def latency(self, src: int, dst: int, traffic_class: str = "data") -> int:
+        """Latency with the first-order congestion term; counts traffic."""
+        try:
+            hops, lat = self._routes[src, dst]
+        except KeyError:
+            # Raises the topology's ValueError for the bad node.
+            self.topology.hops(src, dst)
+            raise
         self.stats.count(traffic_class, hops, lat)
         return lat
 

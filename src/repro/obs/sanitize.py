@@ -9,6 +9,11 @@ unaffected — and a violation raises :class:`SaturationError`
 immediately, pointing at the counter that escaped its range instead of
 letting the corruption surface as a drifted IPC three layers later.
 
+The same switch arms the cache's lookup-index cross-check
+(:class:`IndexCoherenceError`, raised by ``repro.cache.cache.Cache``
+when its ``block -> way`` index disagrees with a scan of the set a
+fill or invalidate just touched).
+
 ``repro-lint --sanitize`` prints the fact table these assertions
 enforce (one JSON object per counter-update site with its proof
 status), which is how the static and dynamic views are kept in sync.
@@ -24,7 +29,8 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-__all__ = ["SANITIZE", "SaturationError", "check_range", "enabled"]
+__all__ = ["SANITIZE", "IndexCoherenceError", "SaturationError",
+           "check_range", "enabled"]
 
 #: True when the process opted into runtime range checks.  Read once at
 #: import: pool workers inherit the parent's environment, so serial and
@@ -34,6 +40,10 @@ SANITIZE: bool = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 class SaturationError(AssertionError):
     """A counter left its declared range at runtime."""
+
+
+class IndexCoherenceError(AssertionError):
+    """A cache's block -> way index disagreed with its lines."""
 
 
 def enabled() -> bool:

@@ -8,11 +8,14 @@ simple policies only override what they need.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from repro.cache.block import AccessContext, CacheBlock
 
 __all__ = ["ReplacementPolicy", "AccessContext"]
+
+_VALID = attrgetter("valid")
 
 
 class ReplacementPolicy:
@@ -82,6 +85,9 @@ class ReplacementPolicy:
     @staticmethod
     def first_invalid(blocks: Sequence[CacheBlock]) -> Optional[int]:
         """Way of the first invalid line in the set, or None."""
+        # A warm set is full: settle that case in one C-level pass.
+        if all(map(_VALID, blocks)):
+            return None
         for way, line in enumerate(blocks):
             if not line.valid:
                 return way

@@ -168,7 +168,7 @@ class ChromePolicy(ReplacementPolicy):
                 if rrpv[way] >= RRPV_MAX:
                     return way
             for way in range(self.num_ways):
-                # No-op clamp; see SRRIPPolicy._find_victim (SAT001).
+                # No-op clamp; see SRRIPPolicy.choose_victim (SAT001).
                 rrpv[way] = min(RRPV_MAX, rrpv[way] + 1)
                 if SANITIZE:
                     check_range(rrpv[way], 0, RRPV_MAX, "chrome.rrpv")

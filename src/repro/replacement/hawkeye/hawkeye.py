@@ -137,13 +137,11 @@ class HawkeyePolicy(ReplacementPolicy):
         if invalid is not None:
             return invalid
         rrpv = self._rrpv[set_idx]
-        for way in range(self.num_ways):
-            if rrpv[way] >= RRPV_MAX:
-                return way
+        if RRPV_MAX in rrpv:
+            return rrpv.index(RRPV_MAX)
         # No cache-averse line: evict the oldest friendly line, and
         # detrain its PC — the friendly prediction cost us this eviction.
-        victim = max(range(self.num_ways), key=rrpv.__getitem__)
-        return victim
+        return rrpv.index(max(rrpv))
 
     def on_evict(self, set_idx: int, way: int, block: CacheBlock,
                  ctx: AccessContext) -> None:

@@ -35,7 +35,7 @@ class LRUPolicy(ReplacementPolicy):
         if invalid is not None:
             return invalid
         stamps = self._stamp[set_idx]
-        return min(range(self.num_ways), key=stamps.__getitem__)
+        return stamps.index(min(stamps))
 
     def on_fill(self, set_idx: int, way: int, ctx: AccessContext) -> int:
         self._clock += 1

@@ -185,15 +185,10 @@ class MockingjayPolicy(ReplacementPolicy):
 
     def _max_abs_etr_way(self, set_idx: int,
                          blocks: Sequence[CacheBlock]) -> int:
-        etr = self._etr[set_idx]
-
-        def priority(way: int) -> int:
-            score = abs(etr[way])
-            if blocks[way].dirty:
-                score += self.dirty_bias
-            return score
-
-        return max(range(self.num_ways), key=priority)
+        bias = self.dirty_bias
+        scores = [abs(etr) + (bias if line.dirty else 0)
+                  for etr, line in zip(self._etr[set_idx], blocks)]
+        return scores.index(max(scores))
 
     def on_fill(self, set_idx: int, way: int, ctx: AccessContext) -> int:
         if ctx.is_writeback:

@@ -37,26 +37,21 @@ class SRRIPPolicy(ReplacementPolicy):
         if hit and way is not None:
             self._rrpv[set_idx][way] = 0
 
-    def _find_victim(self, set_idx: int, blocks: Sequence[CacheBlock]) -> int:
+    def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
+                      ctx: AccessContext) -> int:
         invalid = self.first_invalid(blocks)
         if invalid is not None:
             return invalid
         rrpv = self._rrpv[set_idx]
-        while True:
+        while RRPV_MAX not in rrpv:
             for way in range(self.num_ways):
-                if rrpv[way] >= RRPV_MAX:
-                    return way
-            for way in range(self.num_ways):
-                # No-op clamp: the scan above guarantees rrpv < MAX
+                # No-op clamp: the loop test guarantees rrpv < MAX
                 # here, but min() makes the saturation explicit and
                 # machine-provable (SAT001).
                 rrpv[way] = min(RRPV_MAX, rrpv[way] + 1)
                 if SANITIZE:
                     check_range(rrpv[way], 0, RRPV_MAX, "srrip.rrpv")
-
-    def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
-                      ctx: AccessContext) -> int:
-        return self._find_victim(set_idx, blocks)
+        return rrpv.index(RRPV_MAX)
 
     def insertion_rrpv(self, set_idx: int, ctx: AccessContext) -> int:
         return RRPV_LONG

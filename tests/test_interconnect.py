@@ -97,3 +97,42 @@ class TestMeshNoC:
         a = noc.latency(0, 1)
         b = noc.latency(0, 15)
         assert noc.stats.average_latency == pytest.approx((a + b) / 2)
+
+
+class TestMeshRouteTable:
+    """``MeshNoC.latency`` reads a per-(src, dst) table built at
+    construction; it must match the closed-form model exactly and keep
+    rejecting nodes outside the mesh."""
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_every_entry_matches_the_formula(self, n):
+        noc = MeshNoC(n)
+        for src in range(n):
+            for dst in range(n):
+                hops = noc.topology.hops(src, dst)
+                congestion = int(round(hops * noc.congestion_per_node * n))
+                expected = noc.base_latency(src, dst) + congestion
+                before = noc.stats.total_hops
+                assert noc.latency(src, dst) == expected
+                assert noc.stats.total_hops - before == hops
+        assert noc.stats.messages == n * n
+
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    def test_non_square_meshes_use_their_grid(self, n):
+        noc = MeshNoC(n, router_cycles=3, link_cycles=2,
+                      injection_cycles=1, congestion_per_node=0.1)
+        topo = noc.topology
+        assert topo.cols * topo.cols != n  # not a square grid
+        last = n - 1
+        (r1, c1), (r2, c2) = topo.coordinates(0), topo.coordinates(last)
+        hops = abs(r1 - r2) + abs(c1 - c2)
+        assert noc.latency(0, last) == (1 + hops * 5
+                                        + int(round(hops * 0.1 * n)))
+
+    @pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (16, 0),
+                                         (0, 16), (-16, 0)])
+    def test_out_of_range_node_raises(self, src, dst):
+        noc = MeshNoC(16)
+        with pytest.raises(ValueError):
+            noc.latency(src, dst)
+        assert noc.stats.messages == 0

@@ -4,13 +4,17 @@ arbitrary access streams."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.block import DEMAND, AccessContext
+from repro.cache.block import DEMAND, AccessContext, CacheBlock
 from repro.cache.cache import Cache
 from repro.core.sampled_sets import StaticSampledSets
 from repro.replacement.hawkeye.hawkeye import RRPV_MAX as HAWKEYE_MAX
 from repro.replacement.mockingjay.predictor import INF_SCALED
 from repro.replacement.mockingjay.mockingjay import ETR_MIN
+from repro.replacement.base import ReplacementPolicy
+from repro.replacement.lru import LRUPolicy
 from repro.replacement.registry import POLICY_REGISTRY, make_policy
+from repro.replacement.rrip import RRPV_MAX as SRRIP_MAX
+from repro.replacement.rrip import SRRIPPolicy
 
 SETS, WAYS = 8, 2
 
@@ -109,3 +113,77 @@ class TestDeterminismProperty:
             run_stream(b_cache, accesses)
             assert a_cache.stats.hits == b_cache.stats.hits
             assert a_cache.stats.bypasses == b_cache.stats.bypasses
+
+
+def _full_set(ways, dirty=()):
+    blocks = []
+    for way in range(ways):
+        line = CacheBlock()
+        line.fill(AccessContext(pc=0x400, block=way, core_id=0,
+                                is_write=way in dirty))
+        blocks.append(line)
+    return blocks
+
+
+class TestVictimScansMatchReferenceLoops:
+    """The victim helpers take C-level shortcuts (``all``/``index``/
+    ``max`` over lists); each must pick exactly the way the plain loop
+    it replaced picks, including ties (first way wins)."""
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_first_invalid(self, valid):
+        blocks = []
+        for flag in valid:
+            line = CacheBlock()
+            line.valid = flag
+            blocks.append(line)
+        expected = next((w for w, v in enumerate(valid) if not v), None)
+        assert ReplacementPolicy.first_invalid(blocks) == expected
+
+    @given(st.lists(st.integers(0, 5), min_size=16, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_lru_oldest_stamp(self, stamps):
+        policy = LRUPolicy(1, 16)
+        policy._stamp[0][:] = stamps
+        expected = min(range(16), key=stamps.__getitem__)
+        assert policy.choose_victim(0, _full_set(16), None) == expected
+
+    @given(st.lists(st.integers(0, SRRIP_MAX), min_size=8, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_srrip_distant_or_aged(self, rrpv):
+        policy = SRRIPPolicy(1, 8)
+        policy._rrpv[0][:] = rrpv
+        ref = list(rrpv)
+        while True:
+            hits = [w for w in range(8) if ref[w] >= SRRIP_MAX]
+            if hits:
+                expected = hits[0]
+                break
+            ref = [v + 1 for v in ref]
+        assert policy.choose_victim(0, _full_set(8), None) == expected
+        assert policy._rrpv[0] == ref
+
+    @given(st.lists(st.integers(0, HAWKEYE_MAX), min_size=8, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_hawkeye_averse_or_oldest(self, rrpv):
+        policy = make_policy("hawkeye", 4, 8)
+        policy._rrpv[0][:] = rrpv
+        averse = [w for w in range(8) if rrpv[w] >= HAWKEYE_MAX]
+        expected = averse[0] if averse else max(range(8),
+                                                key=rrpv.__getitem__)
+        assert policy.choose_victim(0, _full_set(8), None) == expected
+
+    @given(st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+           st.sets(st.integers(0, 7)))
+    @settings(max_examples=100, deadline=None)
+    def test_mockingjay_max_abs_etr(self, etr, dirty):
+        policy = make_policy("mockingjay", 4, 8)
+        policy._etr[0][:] = etr
+        blocks = _full_set(8, dirty)
+
+        def priority(way):
+            return abs(etr[way]) + (policy.dirty_bias if way in dirty
+                                    else 0)
+        expected = max(range(8), key=priority)
+        assert policy._max_abs_etr_way(0, blocks) == expected
