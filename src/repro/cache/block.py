@@ -18,27 +18,36 @@ PREFETCH = "prefetch"
 WRITEBACK = "writeback"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class AccessContext:
     """Everything the memory system needs to know about one access.
 
     The kind flags are computed once at construction; ``kind`` is not
-    changed afterwards.
+    changed afterwards.  ``__init__`` is written out because one is
+    built per access and per prefetch candidate.
     """
 
     pc: int
     block: int
     core_id: int
-    is_write: bool = False
-    kind: str = DEMAND
-    cycle: int = 0
-    slice_id: int = 0  # filled in by the sliced LLC front-end
+    is_write: bool
+    kind: str
+    cycle: int
+    slice_id: int  # filled in by the sliced LLC front-end
     is_demand: bool = field(init=False, repr=False, compare=False)
     is_prefetch: bool = field(init=False, repr=False, compare=False)
     is_writeback: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        kind = self.kind
+    def __init__(self, pc: int, block: int, core_id: int,
+                 is_write: bool = False, kind: str = DEMAND,
+                 cycle: int = 0, slice_id: int = 0) -> None:
+        self.pc = pc
+        self.block = block
+        self.core_id = core_id
+        self.is_write = is_write
+        self.kind = kind
+        self.cycle = cycle
+        self.slice_id = slice_id
         self.is_demand = kind == DEMAND
         self.is_prefetch = kind == PREFETCH
         self.is_writeback = kind == WRITEBACK
@@ -73,17 +82,6 @@ class CacheBlock:
         self.is_prefetch = False
         self.inserted_at = 0
         self.last_touch = 0
-
-    def fill(self, ctx: AccessContext) -> None:
-        """Install the line described by *ctx*."""
-        self.valid = True
-        self.block = ctx.block
-        self.dirty = ctx.is_write or ctx.is_writeback
-        self.pc = ctx.pc
-        self.core_id = ctx.core_id
-        self.is_prefetch = ctx.is_prefetch
-        self.inserted_at = ctx.cycle
-        self.last_touch = ctx.cycle
 
     def __repr__(self) -> str:
         if not self.valid:

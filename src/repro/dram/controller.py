@@ -14,7 +14,6 @@ free).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.signature import mix64
 from repro.dram.timing import DRAMTiming
@@ -107,20 +106,6 @@ class DRAMController:
         bank = (hashed >> 8) % self.banks_per_channel
         return channel, bank, row
 
-    def _drain_writes(self, channel: "_Channel", now: int) -> int:
-        """Drain buffered writes into idle bus time; returns forced-drain
-        cycles that delay the caller (watermark exceeded)."""
-        pending = channel.pending_writes
-        if pending:
-            idle = now - channel.bus_free_at
-            if idle > 0:
-                pending -= min(pending, idle // max(1, self._burst))
-        if pending <= self._watermark:
-            channel.pending_writes = pending
-            return 0
-        channel.pending_writes = self._watermark
-        return (pending - self._watermark) * self._burst
-
     def _service(self, block: int, now: int, is_write: bool) -> int:
         channel_id, bank_id, row = self._map(block)
         channel = self._channels[channel_id]
@@ -142,7 +127,18 @@ class DRAMController:
             channel.pending_writes += 1
             return 0
 
-        forced_drain = self._drain_writes(channel, now)
+        # Drain buffered writes into idle bus time; past the watermark a
+        # forced drain delays this read.
+        pending = channel.pending_writes
+        forced_drain = 0
+        if pending:
+            idle = now - channel.bus_free_at
+            if idle > 0:
+                pending -= min(pending, idle // max(1, self._burst))
+            if pending > self._watermark:
+                forced_drain = (pending - self._watermark) * self._burst
+                pending = self._watermark
+            channel.pending_writes = pending
         queue_wait = max(0, channel.bus_free_at - now) + forced_drain
         stats.queue_wait_cycles += queue_wait
         channel.bus_free_at = now + queue_wait + self._burst

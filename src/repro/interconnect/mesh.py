@@ -33,12 +33,6 @@ class NoCStats:
     def average_hops(self) -> float:
         return self.total_hops / self.messages if self.messages else 0.0
 
-    def count(self, traffic_class: str, hops: int, latency: int) -> None:
-        self.messages += 1
-        self.total_hops += hops
-        self.total_latency += latency
-        self.by_class[traffic_class] = self.by_class.get(traffic_class, 0) + 1
-
 
 class MeshNoC:
     """Latency model over a :class:`MeshTopology`.
@@ -92,7 +86,12 @@ class MeshNoC:
             # Raises the topology's ValueError for the bad node.
             self.topology.hops(src, dst)
             raise
-        self.stats.count(traffic_class, hops, lat)
+        stats = self.stats
+        stats.messages += 1
+        stats.total_hops += hops
+        stats.total_latency += lat
+        by_class = stats.by_class
+        by_class[traffic_class] = by_class.get(traffic_class, 0) + 1
         return lat
 
     def average_latency_estimate(self) -> float:

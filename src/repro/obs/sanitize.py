@@ -11,8 +11,8 @@ letting the corruption surface as a drifted IPC three layers later.
 
 The same switch arms the cache's lookup-index cross-check
 (:class:`IndexCoherenceError`, raised by ``repro.cache.cache.Cache``
-when its ``block -> way`` index disagrees with a scan of the set a
-fill or invalidate just touched).
+when its ``block -> way`` index or per-set free-way count disagrees
+with a scan of the set a fill or invalidate just touched).
 
 ``repro-lint --sanitize`` prints the fact table these assertions
 enforce (one JSON object per counter-update site with its proof
@@ -43,7 +43,8 @@ class SaturationError(AssertionError):
 
 
 class IndexCoherenceError(AssertionError):
-    """A cache's block -> way index disagreed with its lines."""
+    """A cache's block -> way index or free-way count disagreed with
+    its lines."""
 
 
 def enabled() -> bool:

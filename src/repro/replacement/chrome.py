@@ -132,7 +132,7 @@ class ChromePolicy(ReplacementPolicy):
                       ctx: AccessContext) -> int:
         if ctx.is_writeback:
             self._pending_action = ACTION_DISTANT
-            invalid = self.first_invalid(blocks)
+            invalid = self.first_invalid(set_idx, blocks)
             if invalid is not None:
                 return invalid
             return self._rrip_victim(set_idx)
@@ -151,7 +151,7 @@ class ChromePolicy(ReplacementPolicy):
             # Mild positive reward for a bypass that is never regretted is
             # implicit (no negative update arrives).
             return self.BYPASS
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         return self._rrip_victim(set_idx)

@@ -59,7 +59,7 @@ class DIPPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
                       ctx: AccessContext) -> int:
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         stamps = self._stamp[set_idx]

@@ -122,7 +122,7 @@ class EVAPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
                       ctx: AccessContext) -> int:
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         ages = self._age[set_idx]

@@ -161,7 +161,7 @@ class GliderPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
                       ctx: AccessContext) -> int:
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         rrpv = self._rrpv[set_idx]

@@ -143,7 +143,7 @@ class LeewayPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
                       ctx: AccessContext) -> int:
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         for way in range(self.num_ways):

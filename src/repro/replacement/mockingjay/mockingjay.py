@@ -153,7 +153,7 @@ class MockingjayPolicy(ReplacementPolicy):
             # Writebacks install without consulting the predictor; they
             # are deprioritised by their ETR assignment in on_fill.
             self._pending_scaled = None
-            invalid = self.first_invalid(blocks)
+            invalid = self.first_invalid(set_idx, blocks)
             if invalid is not None:
                 return invalid
             return self._max_abs_etr_way(set_idx, blocks)
@@ -167,7 +167,7 @@ class MockingjayPolicy(ReplacementPolicy):
         scaled = self.DEFAULT_SCALED if cold else predicted
         self._pending_scaled = scaled
 
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             if scaled >= INF_SCALED:
                 return self.BYPASS

@@ -155,7 +155,7 @@ class PerceptronPolicy(ReplacementPolicy):
                 return self.BYPASS
         else:
             self._pending_dead = True
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         for way in range(self.num_ways):

@@ -26,7 +26,7 @@ class RandomPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, blocks: Sequence[CacheBlock],
                       ctx: AccessContext) -> int:
-        invalid = self.first_invalid(blocks)
+        invalid = self.first_invalid(set_idx, blocks)
         if invalid is not None:
             return invalid
         return int(self._rng.integers(0, self.num_ways))

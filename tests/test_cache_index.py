@@ -1,11 +1,13 @@
-"""The cache's ``block -> way`` lookup index.
+"""The cache's ``block -> way`` lookup index and free-way counts.
 
 :class:`repro.cache.cache.Cache` serves ``find_way``/``contains``/
-``access`` from a dict of its valid lines instead of scanning the set.
-These tests drive random operation sequences through real policies and
-check, after every step, that the index says exactly what a linear scan
-of the lines says; plus the ``REPRO_SANITIZE`` cross-check that catches
-a line mutated behind the index's back.
+``access`` from a dict of its valid lines instead of scanning the set,
+and keeps a per-set count of invalid ways that the policy's
+``first_invalid`` reads.  These tests drive random operation sequences
+through real policies and check, after every step, that the index and
+the counts say exactly what a linear scan of the lines says; plus the
+``REPRO_SANITIZE`` cross-check that catches a line mutated behind the
+cache's back.
 """
 
 import random
@@ -48,9 +50,21 @@ def scanned_index(cache):
     return index
 
 
+def assert_free_ways(cache):
+    """Each set's free count is its number of invalid lines, and
+    ``first_invalid`` picks the first of them."""
+    for set_idx in range(cache.num_sets):
+        lines = cache.blocks_in_set(set_idx)
+        invalid = [way for way, line in enumerate(lines) if not line.valid]
+        assert cache._free_ways[set_idx] == len(invalid)
+        assert cache.policy.first_invalid(set_idx, lines) == \
+            (invalid[0] if invalid else None)
+
+
 def assert_coherent(cache):
     scan = scanned_index(cache)
     assert cache._way_of == scan
+    assert_free_ways(cache)
     for block in range(BLOCKS):
         home = cache.set_index(block)
         assert cache.find_way(home, block) == scan.get(block)
@@ -110,6 +124,7 @@ class TestIndexCoherence:
             op = OPS[rng.randrange(len(OPS))]
             apply(cache, op, rng.randrange(BLOCKS), rng.random() < 0.3,
                   cycle)
+            assert_free_ways(cache)
             if cycle % 97 == 0:
                 assert_coherent(cache)
         assert_coherent(cache)
@@ -150,6 +165,16 @@ class TestIndexSanitizer:
         cache.blocks_in_set(0)[1].reset()  # not via invalidate
         with pytest.raises(IndexCoherenceError):
             cache.invalidate(SETS)
+
+    def test_line_invalidated_behind_the_cache_trips(self, armed):
+        # The index still agrees (an invalid line is never checked
+        # against it); only the free-way count catches this.
+        cache = Cache("t", SETS, WAYS, make_policy("lru"))
+        for i in range(WAYS):
+            self.fill(cache, i * SETS)
+        cache.blocks_in_set(0)[1].valid = False  # not via invalidate
+        with pytest.raises(IndexCoherenceError, match="free ways"):
+            self.fill(cache, WAYS * SETS)
 
     def test_disarmed_does_not_check(self, monkeypatch):
         monkeypatch.setattr(cache_module, "SANITIZE", False)
